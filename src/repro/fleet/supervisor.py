@@ -7,7 +7,16 @@ shared-memory broadcast): each shard's request is self-contained, so the
 supervisor can re-send it verbatim to a respawned worker — the price is
 a pickle per request, the prize is restartability.
 
-The liveness protocol per request:
+Shards work concurrently: every request (ticks, blocks and the
+``ring``/``predict``/``stats``/``telemetry`` queries) is first sent to
+every live, non-degraded shard, then the replies are gathered in shard
+order, so supervision events stay in shard order too.  A shard whose
+reply is missing goes through the dead path below on its own while
+the other shards' replies wait in their pipes; an ``err`` reply is
+raised only after every other in-flight reply has been read, so no
+pipe is left out of step.
+
+The liveness protocol per reply, starting when its gather begins:
 
 * the reply is awaited under a ``heartbeat_secs`` deadline; a worker
   that is *alive* but silent past it is **slow** — the deadline doubles
@@ -225,6 +234,19 @@ def _key_label(key: tuple) -> dict:
     return {"op": str(key[0])}
 
 
+def _request_key(request: tuple) -> tuple:
+    """Identity of a request for poison detection (payload-free)."""
+    if request[0] == "tick_block":
+        return ("tick_block", request[1], int(request[2].shape[1]))
+    return tuple(request[:2])
+
+
+def _as_missing(request: tuple) -> tuple:
+    """The tick request re-driven as all-missing rows (poison quarantine)."""
+    op, hour, values, missing, *rest = request
+    return (op, hour, np.full_like(values, np.nan), np.ones_like(missing), *rest)
+
+
 class FleetSupervisor:
     """Backend running one supervised, restartable process per shard.
 
@@ -300,104 +322,101 @@ class FleetSupervisor:
 
     # -------------------------------------------------------------- driving
     def submit_hour(self, hour, values, missing, calendar_row) -> list[dict]:
-        responses = []
-        for host in self.hosts:
-            ids = self.plan.sectors_of(host.shard_id)
-            responses.append(
-                self._drive_tick(
-                    host,
-                    int(hour),
-                    values[ids, :],
-                    missing[ids, :],
-                    calendar_row,
-                )
-            )
-        return responses
+        return self._drive([
+            ("tick", int(hour), values[ids], missing[ids], calendar_row)
+            for ids in map(self.plan.sectors_of, range(self.plan.n_shards))
+        ])
 
     def submit_block(
         self, first_hour, values, missing, calendar_rows, released_before=None
     ) -> list[list[dict]]:
-        responses = []
-        for host in self.hosts:
-            ids = self.plan.sectors_of(host.shard_id)
-            responses.append(
-                self._drive_block(
-                    host,
-                    int(first_hour),
-                    values[ids, :, :],
-                    missing[ids, :, :],
-                    calendar_rows,
-                    released_before,
-                )
+        return self._drive([
+            (
+                "tick_block", int(first_hour), values[ids], missing[ids],
+                calendar_rows, released_before,
             )
-        return responses
+            for ids in map(self.plan.sectors_of, range(self.plan.n_shards))
+        ])
 
-    def _drive_tick(self, host, hour, values, missing, calendar_row):
-        if host.degraded and not self._try_rejoin(host, hour):
-            return self._degraded_tick(host, hour, values, missing, calendar_row)
-        request = ("tick", hour, values, missing, calendar_row)
+    def _drive(self, requests: list[tuple]) -> list:
+        """Tick fan-out: live shards answer, degraded shards are served here."""
 
-        def substitute():
-            return (
-                "tick",
-                hour,
-                np.full_like(values, np.nan),
-                np.ones_like(missing),
-                calendar_row,
-            )
+        def settle(host, request, sent):
+            if sent is None:
+                # Degraded at dispatch: attempt the rejoin before spooling.
+                if not self._try_rejoin(host, request[1]):
+                    return self._serve_degraded(host, request)
+                sent = self._send(host, request)
+            payload = self._collect(host, request, sent)
+            if payload is None:
+                return self._serve_degraded(host, request)
+            return self._success(host, payload)
 
-        payload = self._exchange(host, request, ("tick", hour), substitute)
-        if payload is None:
-            return self._degraded_tick(host, hour, values, missing, calendar_row)
-        return self._success(host, payload)
+        return self._fan_out(requests, settle)
 
-    def _drive_block(
-        self, host, first_hour, values, missing, calendar_rows, released_before
-    ):
-        if host.degraded and not self._try_rejoin(host, first_hour):
-            return self._degraded_block(
-                host, first_hour, values, missing, calendar_rows
-            )
-        request = (
-            "tick_block", first_hour, values, missing, calendar_rows,
-            released_before,
-        )
-        key = ("tick_block", first_hour, int(values.shape[1]))
+    def _query(self, request: tuple, fallback, tolerate_errors=False) -> list:
+        """Query fan-out: *fallback(host)* answers for unreachable shards.
 
-        def substitute():
-            return (
-                "tick_block",
-                first_hour,
-                np.full_like(values, np.nan),
-                np.ones_like(missing),
-                calendar_rows,
-                released_before,
-            )
+        With *tolerate_errors* an ``err`` reply also falls back instead
+        of raising.
+        """
 
-        payload = self._exchange(host, request, key, substitute)
-        if payload is None:
-            return self._degraded_block(
-                host, first_hour, values, missing, calendar_rows
-            )
-        return self._success(host, payload)
+        def settle(host, request, sent):
+            payload = None
+            if sent is not None:
+                try:
+                    payload = self._collect(host, request, sent)
+                except RuntimeError:
+                    if not tolerate_errors:
+                        raise
+            return fallback(host) if payload is None else payload
+
+        return self._fan_out([request] * len(self.hosts), settle)
 
     # ------------------------------------------------------- liveness core
-    def _exchange(self, host, request, key, substitute=None):
-        """Send *request* and supervise the reply.
+    def _fan_out(self, requests: list[tuple], settle) -> list:
+        """Send every shard its request at once, then settle in shard order.
+
+        Degraded shards are not sent anything: *settle(host, request,
+        sent)* gets ``sent=None`` for them, else whether the send went
+        through.  A failure settling one shard is raised only after
+        every other shard has been settled, so no reply is left unread
+        in a pipe.
+        """
+        sent = [
+            None if host.degraded else self._send(host, request)
+            for host, request in zip(self.hosts, requests)
+        ]
+        results, failure = [], None
+        for host, request, was_sent in zip(self.hosts, requests, sent):
+            try:
+                results.append(settle(host, request, was_sent))
+            except Exception as error:  # noqa: BLE001 - re-raised below
+                failure = failure or error
+        if failure is not None:
+            raise failure
+        return results
+
+    def _send(self, host, request) -> bool:
+        """Ship *request* to *host*; ``False`` when there is no live pipe."""
+        if host.conn is None:
+            return False
+        try:
+            host.conn.send(request)
+        except (BrokenPipeError, OSError):
+            return False
+        return True
+
+    def _collect(self, host, request, sent: bool):
+        """Supervise *host*'s reply to an already *sent* *request*.
 
         Returns the payload, or ``None`` once the shard is degraded.
         Worker deaths respawn-and-resend within the budget; repeated
-        deaths on the same *key* quarantine it via *substitute*.
+        deaths on the same tick request quarantine it as all-missing.
         """
+        key = _request_key(request)
         while True:
-            reply = None
-            if host.conn is not None:
-                try:
-                    host.conn.send(request)
-                except (BrokenPipeError, OSError):
-                    reply = None
-                else:
-                    reply = self._await(host)
+            reply = self._await(host) if sent else None
             if reply is not None:
                 kind, payload = reply
                 if kind == "ok":
@@ -410,10 +429,11 @@ class FleetSupervisor:
             action = self._handle_death(host, key)
             if action == "degrade":
                 return None
-            if action == "poison" and substitute is not None:
-                request = substitute()
+            if action == "poison" and request[0] in ("tick", "tick_block"):
+                request = _as_missing(request)
                 key = (*key, "quarantined")
-            # "retry" (and "poison") loop back and re-send.
+            # "retry" (and "poison") re-send to the respawned worker.
+            sent = self._send(host, request)
 
     def _await(self, host):
         """Wait for one reply under the heartbeat/patience protocol.
@@ -633,23 +653,24 @@ class FleetSupervisor:
         return {**payload, "supervisor": events}
 
     # ------------------------------------------------------- degraded mode
-    def _degraded_tick(self, host, hour, values, missing, calendar_row):
-        self._ensure_spool(host)
-        if hour < host.spool_clock:
-            # The dying worker journaled this hour (post-journal crash):
-            # its true response is persisted — re-emit it, bitwise.
-            response = self._persisted_response(host, hour)
-        else:
-            self._spool(host, hour, values, missing, calendar_row)
-            response = self._synthesize(host, hour)
-        return self._attach(host, response)
-
-    def _degraded_block(self, host, first_hour, values, missing, calendar_rows):
+    def _serve_degraded(self, host, request):
+        """Answer a tick request for a degraded shard from the supervisor."""
+        if request[0] == "tick":
+            # One hour is a one-column block.
+            _, hour, values, missing, row = request
+            block = (
+                "tick_block", hour, values[:, None, :], missing[:, None, :],
+                None if row is None else [row],
+            )
+            return self._serve_degraded(host, block)[0]
+        _, first_hour, values, missing, calendar_rows = request[:5]
         self._ensure_spool(host)
         responses = []
         for j in range(int(values.shape[1])):
             hour = first_hour + j
             if hour < host.spool_clock:
+                # The dying worker journaled this hour (post-journal
+                # crash): its true response is persisted — re-emit it.
                 responses.append(self._persisted_response(host, hour))
             else:
                 row = None if calendar_rows is None else calendar_rows[j]
@@ -735,70 +756,39 @@ class FleetSupervisor:
 
     # ------------------------------------------------------------- queries
     def ring(self, hour: int) -> list:
-        payloads = []
-        for host in self.hosts:
-            payload = None
-            if not host.degraded:
-                payload = self._exchange(
-                    host, ("ring", int(hour)), ("ring", int(hour))
-                )
-            payloads.append(payload)
-        return payloads
+        return self._query(("ring", int(hour)), lambda host: None)
 
     def predict(self, horizon, model=None, window=None) -> list[np.ndarray]:
         t_day = -1 if self._coordinator is None else self._coordinator.t_day
-        fragments = []
-        for host in self.hosts:
-            fragment = None
-            if not host.degraded:
-                fragment = self._exchange(
-                    host,
-                    ("predict", int(horizon), model, window),
-                    ("predict", int(horizon)),
-                )
-            if fragment is None:
-                fragment = self._fallback_fragment(host, int(t_day), int(horizon))
-            fragments.append(np.asarray(fragment, dtype=np.float64))
-        return fragments
+        fragments = self._query(
+            ("predict", int(horizon), model, window),
+            lambda host: self._fallback_fragment(host, int(t_day), int(horizon)),
+        )
+        return [np.asarray(fragment, dtype=np.float64) for fragment in fragments]
 
     def shard_hours(self) -> list[int]:
         return [host.hours for host in self.hosts]
 
     def stats(self) -> list[dict]:
-        snapshots = []
-        for host in self.hosts:
-            snap = None
-            if not host.degraded:
-                try:
-                    snap = self._exchange(host, ("stats",), ("stats",))
-                except RuntimeError:
-                    snap = None
-            if snap is None:
-                snap = {
-                    "shard": {
-                        "shard_id": host.shard_id,
-                        "n_sectors": host.n_local,
-                        "degraded": True,
-                    }
+        def degraded(host):
+            return {
+                "shard": {
+                    "shard_id": host.shard_id,
+                    "n_sectors": host.n_local,
+                    "degraded": True,
                 }
-            snapshots.append(snap)
-        return snapshots
+            }
+
+        return self._query(("stats",), degraded, tolerate_errors=True)
 
     def telemetries(self) -> list[ServeTelemetry]:
         # The supervisor's own counters merge into the fleet snapshot
         # alongside whatever per-shard telemetry is still reachable
         # (worker telemetry is process state — it dies with the worker).
-        merged = [self.telemetry]
-        for host in self.hosts:
-            if host.degraded:
-                continue
-            try:
-                telemetry = self._exchange(host, ("telemetry",), ("telemetry",))
-            except RuntimeError:
-                telemetry = None
-            if telemetry is not None:
-                merged.append(telemetry)
-        return merged
+        reachable = self._query(
+            ("telemetry",), lambda host: None, tolerate_errors=True
+        )
+        return [self.telemetry, *(t for t in reachable if t is not None)]
 
     @property
     def degraded_shards(self) -> list[int]:

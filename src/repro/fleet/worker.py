@@ -30,7 +30,10 @@ Crash consistency per tick (apply → journal → acknowledge):
    the response is non-trivial — the empty ⇔ not-persisted invariant;
    the file holds every non-trivial response since the coordinator's
    acknowledged boundary, so mid-block crashes re-emit faithfully);
-4. journal the tick into the WAL (fsynced append, the commit point).
+4. journal the tick into the WAL (the commit point).  Workers open
+   their :class:`~repro.resilience.checkpoint.CheckpointManager` with
+   ``sync=False``, so the append is flushed to the OS, not fsynced:
+   it survives a worker crash, not a power loss.
 
 A worker killed anywhere in that sequence recovers to a state from
 which re-driving the same hour yields the identical response: before

@@ -23,6 +23,7 @@ from repro import GeneratorConfig, TelemetryGenerator, attach_scores, filter_sec
 from repro.core.experiment import SweepRunner
 from repro.fleet import (
     FleetConfig,
+    ShardWorker,
     SimulatedKill,
     SupervisorConfig,
     build_fleet,
@@ -208,6 +209,92 @@ def test_worker_fault_at_seam_recovers_bitwise(
         assert "worker_hang" in kinds
     else:
         assert "worker_death" in kinds
+
+
+# ------------------------------------------------- concurrent dispatch
+@needs_fork
+def test_death_handled_while_other_reply_unread(env, baseline, tmp_path):
+    """Both shards hold the hour when shard 0 dies mid-apply: its
+    respawn and re-send happen while shard 1's reply waits in its pipe,
+    and only shard 0 is restarted."""
+    chaos = _chaos(tmp_path, ProcessFault(0, "mid_apply", KILL_HOUR))
+    fleet = None
+    waiting: list[bool] = []
+
+    def on_event(record):
+        if record["event"] == "worker_death":
+            # Not consumed: poll only peeks at shard 1's pipe.
+            waiting.append(fleet.backend.hosts[1].conn.poll(30.0))
+
+    fleet = build_fleet(
+        tmp_path / "run", _config(env), 2, supervise=SupervisorConfig(),
+        chaos=chaos, on_event=on_event,
+    )
+    lines: list[str] = []
+    try:
+        _drive(fleet, 0, END_HOUR, lines, env)
+        supervisor = fleet.stats()["fleet"]["supervisor"]
+    finally:
+        fleet.close()
+    assert lines == baseline
+    assert waiting == [True]  # exactly one worker_death, shard 1 already answered
+    assert supervisor["restarts_by_shard"] == {"0": 1, "1": 0}
+
+
+@needs_fork
+def test_hang_after_other_shard_answered(env, baseline, tmp_path):
+    """Shard 0 answers, shard 1 hangs: its patience windows start at
+    its own gather and end in one SIGKILL, then parity holds."""
+    chaos = _chaos(
+        tmp_path,
+        ProcessFault(1, "mid_apply", KILL_HOUR, action="hang", hang_secs=60.0),
+    )
+    out_events: list[dict] = []
+    fleet = _supervised(
+        tmp_path / "run", env, chaos=chaos,
+        supervise=SupervisorConfig(heartbeat_secs=0.5, slow_retries=2),
+        out_events=out_events,
+    )
+    lines: list[str] = []
+    try:
+        _drive(fleet, 0, END_HOUR, lines, env)
+        supervisor = fleet.stats()["fleet"]["supervisor"]
+    finally:
+        fleet.close()
+    assert lines == baseline
+    hangs = [event for event in out_events if event["event"] == "worker_hang"]
+    assert [event["shard"] for event in hangs] == [1]
+    assert supervisor["restarts_by_shard"] == {"0": 0, "1": 1}
+
+
+@needs_fork
+def test_err_reply_raises_and_keeps_pipes_in_step(
+    env, baseline, tmp_path, monkeypatch
+):
+    """Shard 0 replies ``err`` to a query while shard 1 answers: the
+    error is raised once shard 1's reply is read, so later submits stay
+    in step and the stream keeps parity."""
+    original = ShardWorker.predict_fragment
+
+    def failing(self, *args, **kwargs):
+        if self.shard_id == 0:
+            raise ValueError("shard 0 cannot forecast")
+        return original(self, *args, **kwargs)
+
+    # Patched before the fork, so only the shard hosts see it.
+    monkeypatch.setattr(ShardWorker, "predict_fragment", failing)
+    fleet = _supervised(tmp_path / "run", env)
+    lines: list[str] = []
+    try:
+        _drive(fleet, 0, KILL_HOUR, lines, env)
+        with pytest.raises(RuntimeError, match="shard host 0 failed"):
+            fleet.predict(HORIZONS[0])
+        _drive(fleet, KILL_HOUR, END_HOUR, lines, env)
+        supervisor = fleet.stats()["fleet"]["supervisor"]
+    finally:
+        fleet.close()
+    assert lines == baseline
+    assert supervisor["worker_restarts"] == 0
 
 
 @needs_fork

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import io
 import json
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -211,6 +213,63 @@ class TestCrashRecoveryParity:
         recovered = CheckpointManager.recover(tmp_path)
         assert recovered.snapshot_hour == 192  # the older retained snapshot
         assert recovered.ingestor.hours_seen == 250
+        assert_state_equal(recovered.ingestor, ingestor)
+
+    def test_flipped_byte_in_stored_snapshot_falls_back(
+        self, scored_dataset, tmp_path
+    ):
+        # Snapshots are stored, not deflated: with no zlib stream to
+        # break, the zip CRC-32 of each member is what catches a
+        # corrupted array.  One flipped byte, zip directory intact.
+        ingestor = StreamIngestor.for_dataset(scored_dataset, w_max=WINDOW)
+        manager = CheckpointManager.for_ingestor(
+            tmp_path, ingestor, snapshot_every=SNAPSHOT_EVERY
+        )
+        feed(scored_dataset, ingestor, manager, 0, 250)
+        newest = sorted(tmp_path.glob("snapshot-*.npz"))[-1]
+        with zipfile.ZipFile(newest) as archive:
+            members = archive.infolist()
+        assert {m.compress_type for m in members} == {zipfile.ZIP_STORED}
+        member = max(members, key=lambda m: m.file_size)
+        assert member.filename != "meta_json.npy"
+        with open(newest, "r+b") as handle:
+            handle.seek(member.header_offset + 26)  # local header name/extra lengths
+            name_len, extra_len = struct.unpack("<HH", handle.read(4))
+            # The member's last byte is array data, past the .npy header.
+            last = member.header_offset + 30 + name_len + extra_len + member.file_size - 1
+            handle.seek(last)
+            byte = handle.read(1)[0]
+            handle.seek(last)
+            handle.write(bytes([byte ^ 0xFF]))
+        with zipfile.ZipFile(newest) as archive:
+            assert archive.testzip() == member.filename  # only the CRC notices
+
+        recovered = CheckpointManager.recover(tmp_path)
+        assert recovered.snapshot_hour == 192  # the older retained snapshot
+        assert recovered.ingestor.hours_seen == 250
+        assert_state_equal(recovered.ingestor, ingestor)
+
+    def test_compressed_snapshot_still_recovers(self, scored_dataset, tmp_path):
+        # Checkpoint directories written before snapshots were stored
+        # hold savez_compressed archives of the same layout.
+        ingestor = StreamIngestor.for_dataset(scored_dataset, w_max=WINDOW)
+        manager = CheckpointManager.for_ingestor(
+            tmp_path, ingestor, snapshot_every=SNAPSHOT_EVERY
+        )
+        feed(scored_dataset, ingestor, manager, 0, 250)
+        newest = sorted(tmp_path.glob("snapshot-*.npz"))[-1]
+        with np.load(newest) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        with open(newest, "wb") as handle:
+            np.savez_compressed(handle, **arrays)
+        with zipfile.ZipFile(newest) as archive:
+            assert {m.compress_type for m in archive.infolist()} == {
+                zipfile.ZIP_DEFLATED
+            }
+
+        recovered = CheckpointManager.recover(tmp_path)
+        assert recovered.snapshot_hour == 240
+        assert recovered.replayed == 10
         assert_state_equal(recovered.ingestor, ingestor)
 
     def test_resume_after_torn_tail_keeps_later_ticks(
