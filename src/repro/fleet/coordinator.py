@@ -463,7 +463,9 @@ class FleetCoordinator:
         self.backend = backend
         self.clock = int(clock)
         self.validator = validator or TickValidator(
-            n_sectors=config.n_sectors, n_kpis=config.n_kpis
+            n_sectors=config.n_sectors,
+            n_kpis=config.n_kpis,
+            start_hour=config.start_hour,
         )
         self.dead_letters = dead_letters or DeadLetterQueue()
         self.telemetry = ServeTelemetry()
@@ -560,17 +562,18 @@ class FleetCoordinator:
     ) -> list[dict]:
         """Validate, broadcast, and merge a micro-batch of hours.
 
-        Fleet twin of :meth:`ResilientHotSpotService.submit_block`:
-        every column is probe-validated against the clock it would meet
-        in per-hour order; a block of plain accepts is broadcast to the
-        shards in ``block_capacity`` slices (each shard applies and
-        journals it in day chunks) and the per-hour fragments are merged
-        in order, producing the identical event stream.  Any quarantine,
-        duplicate, or gap verdict discards the probe and replays the
-        original columns through per-hour :meth:`submit_tick`.  The
-        watermark advances once, after the whole block is merged — a
-        mid-block crash re-drives from the last acknowledged hour and
-        shards re-emit what they already journaled.
+        Fleet twin of :meth:`ResilientHotSpotService.submit_block`: the
+        whole block is probed at once against the clocks its columns
+        would meet in per-hour order; a block of plain accepts is
+        broadcast to the shards in ``block_capacity`` slices (each shard
+        applies and journals it in day chunks) and the per-hour
+        fragments are merged in order, producing the identical event
+        stream.  A rejected probe (any quarantine, duplicate, or gap
+        verdict) replays the original columns through per-hour
+        :meth:`submit_tick`.  The watermark advances once, after the
+        whole block is merged — a mid-block crash re-drives from the
+        last acknowledged hour and shards re-emit what they already
+        journaled.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 3:
@@ -584,20 +587,10 @@ class FleetCoordinator:
         n_hours = values.shape[1]
         if n_hours == 0:
             return []
-        verdicts = []
-        for j in range(n_hours):
-            verdict = self.validator.validate(
-                values[:, j, :],
-                None if missing is None else missing[:, j, :],
-                None if calendar_rows is None else calendar_rows[j],
-                hour=None if first_hour is None else first_hour + j,
-                clock=self.clock + j,
-                ring_payload=self._ring_payload,
-            )
-            if verdict.action != ACCEPT or verdict.gap_hours != 0:
-                break
-            verdicts.append(verdict)
-        if len(verdicts) < n_hours:
+        block = self.validator.validate_block(
+            values, missing, calendar_rows, first_hour, self.clock
+        )
+        if block is None:
             events: list[dict] = []
             for j in range(n_hours):
                 events.extend(
@@ -609,13 +602,7 @@ class FleetCoordinator:
                     )
                 )
             return events
-        block_values = np.stack([v.values for v in verdicts], axis=1)
-        block_missing = np.stack([v.missing for v in verdicts], axis=1)
-        calendar_block = (
-            None
-            if calendar_rows is None
-            else np.stack([v.calendar_row for v in verdicts])
-        )
+        block_values, block_missing, calendar_block = block
         events = []
         capacity = self.backend.block_capacity or n_hours
         # The acknowledged boundary for this whole block: shards keep

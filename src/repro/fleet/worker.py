@@ -315,6 +315,9 @@ class ShardWorker:
                 missing[:, start:stop, :],
                 None if calendar_rows is None else calendar_rows[start:stop],
             )
+            offsets, sectors, runs = self.dark.observe_block(
+                missing[:, start:stop, :]
+            )
             chunk: list[dict] = []
             for j, tick in enumerate(ticks):
                 hour = hour0 + j
@@ -333,17 +336,15 @@ class ShardWorker:
                             ]
                     if self.controller is not None:
                         response["lifecycle"] = self.controller.on_day(tick)
-                newly_dark = self.dark.observe(missing[:, start + j, :])
-                for local in newly_dark:
-                    response["dark_new"].append(
-                        [
-                            int(self.sector_ids[int(local)]),
-                            int(self.dark.missing_run(int(local))),
-                        ]
-                    )
-                if tick.day_completed:
+                    # A day chunk ends at its day boundary, so only its
+                    # last hour completes a day: the tracker state after
+                    # the chunk is the state after that hour.
                     response["dark_mask"] = [bool(x) for x in self.dark.dark_mask]
                 chunk.append(response)
+            for offset, local, run in zip(offsets, sectors, runs):
+                chunk[int(offset)]["dark_new"].append(
+                    [int(self.sector_ids[int(local)]), int(run)]
+                )
             fresh = {
                 hour0 + j: response
                 for j, response in enumerate(chunk)

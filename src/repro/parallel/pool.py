@@ -73,13 +73,13 @@ def effective_jobs(n_jobs: int | None, n_items: int | None = None) -> int:
     convention); positive values are taken literally.  The result is
     clamped to ``n_items`` when given — more workers than work is waste.
     """
-    cores = os.cpu_count() or 1
-    if n_jobs is None or n_jobs == 0:
-        jobs = cores
-    elif n_jobs < 0:
-        jobs = cores + 1 + n_jobs
-    else:
+    if n_jobs is not None and n_jobs > 0:
+        # Taken literally, with no core count: this runs once per forest
+        # predict on the serving path.
         jobs = n_jobs
+    else:
+        cores = os.cpu_count() or 1
+        jobs = cores if not n_jobs else cores + 1 + n_jobs
     if n_items is not None:
         jobs = min(jobs, n_items)
     return max(1, jobs)

@@ -173,15 +173,16 @@ class ResilientHotSpotService:
     ) -> list[dict]:
         """Validate and ingest a micro-batch of consecutive hours.
 
-        Every block column is validated exactly as :meth:`submit_tick`
-        validates a single tick (against the clock it would see in
-        per-hour order).  When all columns are plain accepts — no
-        quarantines, duplicates, or gaps — the block takes the fast
-        path: columnar ingest, one batched WAL flush, and dark-sector
-        masking per day chunk, producing the same event stream as the
-        per-hour driver.  Any other verdict discards the probe and the
-        whole block falls back to per-hour :meth:`submit_tick`, whose
-        quarantine/reconcile/gap handling is unchanged.
+        The whole block is probed at once
+        (:meth:`~repro.resilience.validate.TickValidator.validate_block`)
+        against the clocks its columns would meet in per-hour order.
+        When every column is a plain accept — no quarantines,
+        duplicates, or gaps — the block takes the fast path: columnar
+        ingest, one batched WAL flush, and vectorized dark-run tracking
+        and masking per day chunk, producing the same event stream as
+        the per-hour driver.  Otherwise the whole block falls back to
+        per-hour :meth:`submit_tick`, whose quarantine/reconcile/gap
+        handling is unchanged.
 
         *first_hour* is the declared hour of column 0 (``None`` trusts
         arrival order); column *j* declares ``first_hour + j``.
@@ -200,26 +201,13 @@ class ResilientHotSpotService:
             return []
         clock = self.ingestor.hours_seen
 
-        # Probe-validate each column with the clock it would meet in
-        # per-hour order.  The validator is stateless, so a discarded
-        # probe costs nothing: the fallback re-validates identically.
-        verdicts = []
-        for j in range(n_hours):
-            verdict = self.validator.validate(
-                values[:, j, :],
-                None if missing is None else missing[:, j, :],
-                None if calendar_rows is None else calendar_rows[j],
-                hour=None if first_hour is None else first_hour + j,
-                clock=clock + j,
-                ring_payload=self._ring_payload,
-            )
-            if verdict.action != ACCEPT or verdict.gap_hours != 0:
-                break
-            verdicts.append(verdict)
-        if len(verdicts) < n_hours:
-            # Slow path: at least one column needs quarantine, duplicate
-            # reconciliation, or gap synthesis — replay the original
-            # inputs through the per-hour pipeline.
+        # The validator is stateless, so a rejected probe costs nothing:
+        # the per-hour path re-validates every column and renders each
+        # one's real verdict.
+        block = self.validator.validate_block(
+            values, missing, calendar_rows, first_hour, clock
+        )
+        if block is None:
             events: list[dict] = []
             for j in range(n_hours):
                 events.extend(
@@ -237,19 +225,14 @@ class ResilientHotSpotService:
             # block the cadence check is deferred to the next block,
             # which only bounds recovery replay length, never parity.
             self.checkpoint.maybe_snapshot(self.ingestor)
-        block_values = np.stack([v.values for v in verdicts], axis=1)
-        block_missing = np.stack([v.missing for v in verdicts], axis=1)
-        # Defaulted calendar rows are exactly what the ingestor would
-        # synthesise itself, so filling them in keeps bitwise parity
-        # while giving the journal concrete rows to record.
-        calendar_block = np.stack(
-            [
-                self.ingestor._default_calendar_row(clock + j)
-                if v.calendar_row is None
-                else v.calendar_row
-                for j, v in enumerate(verdicts)
-            ]
-        )
+        block_values, block_missing, calendar_block = block
+        if calendar_block is None:
+            # Defaulted calendar rows are exactly what the ingestor would
+            # synthesise itself, so filling them in keeps bitwise parity
+            # while giving the journal concrete rows to record.
+            calendar_block = np.stack(
+                [self.ingestor._default_calendar_row(clock + j) for j in range(n_hours)]
+            )
 
         events = []
         start = 0
@@ -272,16 +255,16 @@ class ResilientHotSpotService:
                     block_missing[:, start:stop, :],
                     calendar_block[start:stop],
                 )
-            dark_events = []
-            for j in range(start, stop):
-                newly_dark = self.dark.observe(block_missing[:, j, :])
-                dark_events.extend(
-                    self.telemetry.event(
-                        "sector_dark", sector=int(sector), hour=clock + j,
-                        missing_run=self.dark.missing_run(int(sector)),
-                    )
-                    for sector in newly_dark
+            offsets, sectors, runs = self.dark.observe_block(
+                block_missing[:, start:stop, :]
+            )
+            dark_events = [
+                self.telemetry.event(
+                    "sector_dark", sector=int(sector), hour=clock + start + int(offset),
+                    missing_run=int(run),
                 )
+                for offset, sector, run in zip(offsets, sectors, runs)
+            ]
             events.extend(dark_events + self._mask_dark_alerts(chunk_events))
             start = stop
         return events

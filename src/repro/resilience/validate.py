@@ -11,14 +11,16 @@ step with exactly this).  This module is the contract's gatekeeper:
   ingestor's contract (shape, dtype, NaN/inf budget, calendar
   consistency, hour monotonicity via the ring-buffer clock) and renders
   a :class:`TickVerdict` — accept, reconcile (idempotent duplicate), or
-  quarantine with a structured reason;
+  quarantine with a structured reason; :meth:`TickValidator.validate_block`
+  probes a whole micro-batch at once for the all-accept fast path;
 * :class:`DeadLetterQueue` holds quarantined ticks in a bounded ring so
   operators can inspect failures without the queue growing without
   bound;
 * :class:`DarkSectorTracker` counts per-sector runs of fully-missing
-  hours and flags sectors whose run exceeds the Sec. II-C threshold
-  (half a week by default, mirroring the 50 %-missing-per-week sector
-  filter) so downstream forecasts and alerts can mask them.
+  hours (one hour at a time or a block at once) and flags sectors whose
+  run exceeds the Sec. II-C threshold (half a week by default,
+  mirroring the 50 %-missing-per-week sector filter) so downstream
+  forecasts and alerts can mask them.
 
 Validation never mutates ingestor state; the resilient service
 (:mod:`repro.resilience.guard`) acts on the verdict.
@@ -111,6 +113,10 @@ class TickValidator:
     check_calendar:
         When True, a supplied calendar row must be a finite 5-vector
         whose hour-of-day field matches the ring clock.
+    start_hour:
+        Hour-of-day of global hour 0 (the time axis anchor the ingestor
+        derives its default calendar rows from): hour *h* is expected to
+        carry hour-of-day ``(h + start_hour) % 24``.
     """
 
     n_sectors: int
@@ -118,6 +124,7 @@ class TickValidator:
     max_bad_fraction: float = 0.5
     max_gap_hours: int = HOURS_PER_DAY
     check_calendar: bool = True
+    start_hour: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.max_bad_fraction <= 1.0:
@@ -129,10 +136,45 @@ class TickValidator:
 
     @classmethod
     def for_ingestor(cls, ingestor: StreamIngestor, **overrides) -> "TickValidator":
-        """A validator shaped for *ingestor*."""
+        """A validator shaped and time-anchored for *ingestor*."""
+        overrides.setdefault("start_hour", ingestor.start_hour)
         return cls(
             n_sectors=ingestor.n_sectors, n_kpis=ingestor.n_kpis, **overrides
         )
+
+    # ------------------------------------------------------- shared rules
+    # The NaN/inf, budget and calendar rules run on an hours axis, once:
+    # validate() applies them to a one-hour block, validate_block() to a
+    # whole micro-batch.
+    def _fold_bad(
+        self, values: np.ndarray, missing: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fold NaN/inf into the mask of an ``(n_sectors, n_hours, n_kpis)``
+        block; returns the folded mask and each hour's bad-entry fraction.
+
+        The fraction is an integer count divided by ``n_sectors *
+        n_kpis`` — bitwise the ``bad.mean()`` of the hour's matrix.
+        """
+        bad = ~np.isfinite(values)
+        if missing is not None:
+            bad |= missing
+        counts = bad.sum(axis=0).sum(axis=1)  # sectors first: a contiguous reduce
+        return bad, counts / (self.n_sectors * self.n_kpis)
+
+    def _calendar_checks(
+        self, rows: np.ndarray, first_declared: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-hour checks of ``(n_hours, 5)`` calendar rows declared for
+        consecutive hours from *first_declared*.
+
+        Returns ``(finite, expected_hod, hod_ok)``: whether each row is
+        finite, the hour-of-day each row must carry, and whether its
+        (truncated) hour-of-day field equals it.
+        """
+        finite = np.isfinite(rows).all(axis=1)
+        base = (first_declared + self.start_hour) % HOURS_PER_DAY
+        expected = (base + np.arange(rows.shape[0])) % HOURS_PER_DAY
+        return finite, expected, np.trunc(rows[:, 0]) == expected
 
     # ------------------------------------------------------------ validate
     def validate(
@@ -179,9 +221,7 @@ class TickValidator:
                 f"values shape {values.shape} != expected {expected}",
                 declared_hour=declared,
             )
-        if missing is None:
-            missing = np.isnan(values)
-        else:
+        if missing is not None:
             try:
                 missing = np.asarray(missing, dtype=bool)
             except (TypeError, ValueError) as error:
@@ -195,14 +235,15 @@ class TickValidator:
                     f"missing mask shape {missing.shape} != expected {expected}",
                     declared_hour=declared,
                 )
-            missing = missing | np.isnan(values)
 
         # --- NaN/inf budget --------------------------------------------
-        # Non-finite non-NaN entries (inf sentinel garbage) are folded
-        # into the missing mask; the tick as a whole must stay under the
+        # Non-finite entries (NaN, inf sentinel garbage) are folded into
+        # the missing mask; the tick as a whole must stay under the
         # bad-entry budget or it carries no usable signal.
-        bad = missing | ~np.isfinite(values)
-        bad_fraction = float(bad.mean())
+        bad, fractions = self._fold_bad(
+            values[:, None, :], None if missing is None else missing[:, None, :]
+        )
+        bad_fraction = float(fractions[0])
         if bad_fraction > self.max_bad_fraction:
             return TickVerdict(
                 QUARANTINE, "bad_value_budget",
@@ -210,7 +251,7 @@ class TickValidator:
                 f"(budget {self.max_bad_fraction:.1%})",
                 declared_hour=declared,
             )
-        missing = bad
+        missing = bad[:, 0, :]
 
         # --- calendar consistency --------------------------------------
         if calendar_row is not None:
@@ -229,17 +270,19 @@ class TickValidator:
                     declared_hour=declared,
                 )
             if self.check_calendar:
-                if not np.isfinite(calendar_row).all():
+                finite, expected_hod, hod_ok = self._calendar_checks(
+                    calendar_row[None, :], declared
+                )
+                if not finite[0]:
                     return TickVerdict(
                         QUARANTINE, "calendar", "calendar row has non-finite entries",
                         declared_hour=declared,
                     )
-                expected_hod = declared % HOURS_PER_DAY
-                if int(calendar_row[0]) != expected_hod:
+                if not hod_ok[0]:
                     return TickVerdict(
                         QUARANTINE, "calendar",
                         f"calendar hour-of-day {calendar_row[0]:.0f} != "
-                        f"{expected_hod} for hour {declared}",
+                        f"{int(expected_hod[0])} for hour {declared}",
                         declared_hour=declared,
                     )
 
@@ -281,6 +324,51 @@ class TickValidator:
             values=values, missing=missing, calendar_row=calendar_row,
             gap_hours=gap, declared_hour=declared,
         )
+
+    def validate_block(
+        self,
+        values: np.ndarray,
+        missing: np.ndarray | None,
+        calendar_rows: np.ndarray | None,
+        first_hour: int | None,
+        clock: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None] | None:
+        """Probe a whole ``(n_sectors, n_hours, n_kpis)`` block at once.
+
+        Column *j* declares ``first_hour + j`` (``None`` trusts arrival
+        order) and meets the clock ``clock + j``, as in per-hour order.
+        Returns the normalised ``(values, missing, calendar_rows)`` —
+        bitwise the per-column :meth:`validate` payloads stacked on the
+        hours axis — when every column is a plain accept with no gap,
+        else ``None``.
+
+        The probe may be stricter than :meth:`validate`, never looser:
+        ``None`` only sends the block down the per-hour path, which
+        renders each column's real verdict, so an odd-but-acceptable
+        block (a misshaped calendar array, a non-integral hour stamp)
+        costs speed, never a different outcome.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 3 or values.shape[::2] != (self.n_sectors, self.n_kpis):
+            return None
+        if first_hour is not None and first_hour != clock:
+            return None
+        if missing is not None:
+            missing = np.asarray(missing, dtype=bool)
+            if missing.shape != values.shape:
+                return None
+        missing, fractions = self._fold_bad(values, missing)
+        if (fractions > self.max_bad_fraction).any():
+            return None
+        if calendar_rows is not None:
+            calendar_rows = np.asarray(calendar_rows, dtype=np.float64)
+            if calendar_rows.shape != (values.shape[1], _CALENDAR_WIDTH):
+                return None
+            if self.check_calendar:
+                finite, _, hod_ok = self._calendar_checks(calendar_rows, clock)
+                if not (finite & hod_ok).all():
+                    return None
+        return values, missing, calendar_rows
 
 
 class DeadLetterQueue:
@@ -378,6 +466,43 @@ class DarkSectorTracker:
         newly_dark = np.nonzero(~was_dark & self.dark_mask)[0]
         self.went_dark_total += int(newly_dark.size)
         return newly_dark
+
+    def observe_block(
+        self, missing: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Update runs with an ``(n_sectors, n_hours, n_kpis)`` mask block.
+
+        Equal to :meth:`observe` once per hour, without the per-hour
+        loop: a run at hour *t* is ``t - b`` where *b* is the last hour
+        at or before *t* that was not fully missing (a running
+        ``maximum.accumulate`` of break indices), or the carried-in run
+        plus ``t + 1`` when the block has no break yet.  Because a run
+        grows by exactly one per hour, a sector crosses into darkness
+        exactly where its run equals the threshold.
+
+        Returns ``(hour_offset, sector, run)`` of every crossing, in
+        hour-then-sector order.
+        """
+        missing = np.asarray(missing, dtype=bool)
+        if missing.ndim != 3 or missing.shape[0] != self.n_sectors:
+            raise ValueError(
+                f"mask block {missing.shape} does not cover the tracker's "
+                f"{self.n_sectors} sectors on (n_sectors, n_hours, n_kpis)"
+            )
+        n_hours = missing.shape[1]
+        fully_missing = missing.all(axis=2)
+        offsets = np.arange(n_hours)
+        breaks = np.maximum.accumulate(
+            np.where(fully_missing, -1, offsets), axis=1
+        )
+        runs = np.where(
+            breaks >= 0, offsets - breaks, self._run[:, None] + offsets + 1
+        )
+        hours, sectors = np.nonzero(runs.T == self.threshold_hours)
+        if n_hours:
+            self._run = runs[:, -1].astype(np.int64)
+        self.went_dark_total += int(sectors.size)
+        return hours, sectors, runs[sectors, hours]
 
     @property
     def dark_mask(self) -> np.ndarray:

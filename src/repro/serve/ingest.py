@@ -371,11 +371,15 @@ class StreamIngestor:
 
         # Chunk so no ring write of this block lands on a cumsum slot a
         # later hour of the same chunk still needs for its weekly
-        # trailing lookback (capacity >= 168 + 24 guarantees progress).
+        # trailing lookback (capacity >= 168 + 24 guarantees progress),
+        # and split chunks at the ring seam so every ring write of a
+        # chunk is one slice.
         ticks: list[IngestTick] = []
         chunk = self.capacity - HOURS_PER_WEEK
-        for start in range(0, n_hours, chunk):
-            stop = min(start + chunk, n_hours)
+        start = 0
+        while start < n_hours:
+            seam = self.capacity - self.hours_seen % self.capacity
+            stop = min(start + chunk, start + seam, n_hours)
             ticks.extend(
                 self._ingest_chunk(
                     values[:, start:stop, :],
@@ -383,6 +387,7 @@ class StreamIngestor:
                     None if calendar_rows is None else calendar_rows[start:stop],
                 )
             )
+            start = stop
         return ticks
 
     def _ingest_chunk(
@@ -391,11 +396,12 @@ class StreamIngestor:
         missing: np.ndarray,
         calendar_rows: np.ndarray | None,
     ) -> list[IngestTick]:
-        """One capacity-bounded chunk of :meth:`ingest_block`."""
+        """One chunk of :meth:`ingest_block`, bounded by the weekly
+        lookback and by the ring seam, so its ring slots are one slice."""
         n_hours = values.shape[1]
         first = self.hours_seen
         hours = np.arange(first, first + n_hours)
-        slots = hours % self.capacity
+        slots = slice(first % self.capacity, first % self.capacity + n_hours)
         n_kpis = self.n_kpis
         if calendar_rows is None:
             calendar_rows = np.stack(
@@ -550,6 +556,13 @@ class StreamIngestor:
     # ------------------------------------------------------------- windows
     def _ring_slots(self, lo_hour: int, hi_hour: int) -> np.ndarray:
         """Ring slots for global hours ``[lo_hour, hi_hour)``, validated."""
+        return np.concatenate(
+            [np.arange(span.start, span.stop) for span in self._ring_spans(lo_hour, hi_hour)]
+        )
+
+    def _ring_spans(self, lo_hour: int, hi_hour: int) -> list[slice]:
+        """Ring slot slices for global hours ``[lo_hour, hi_hour)``,
+        validated: one slice, or two when the range straddles slot 0."""
         if not 0 <= lo_hour < hi_hour:
             raise ValueError(f"invalid hour range [{lo_hour}, {hi_hour})")
         if hi_hour > self.hours_seen:
@@ -562,7 +575,11 @@ class StreamIngestor:
                 f"hour {lo_hour} already evicted from the {self.capacity}-hour ring; "
                 "increase w_max/capacity_hours"
             )
-        return np.arange(lo_hour, hi_hour) % self.capacity
+        lo = lo_hour % self.capacity
+        hi = lo + (hi_hour - lo_hour)
+        if hi <= self.capacity:
+            return [slice(lo, hi)]
+        return [slice(lo, self.capacity), slice(0, hi - self.capacity)]
 
     def hourly_window(self, lo_hour: int, hi_hour: int) -> dict[str, np.ndarray]:
         """Raw ring contents for hours ``[lo_hour, hi_hour)`` (testing/debug)."""
@@ -592,17 +609,17 @@ class StreamIngestor:
             raise ValueError(
                 f"window of {window} days does not fit before day {t_day}"
             )
-        slots = self._ring_slots(lo, hi)
-        if self.missing[:, slots, :].any():
+        spans = self._ring_spans(lo, hi)
+        if any(self.missing[:, span, :].any() for span in spans):
             raise ValueError(
                 "forecast window contains missing KPI values; impute upstream "
                 "(the batch pipeline rejects incomplete tensors the same way)"
             )
-        # One gather from the persistent feature ring; the stored
-        # columns are exactly what assemble_window() would concatenate
-        # from the component rings (see _ingest_chunk), so the result
-        # is bitwise-unchanged.
-        return self._features[:, slots, :]
+        # One slice copy from the persistent feature ring (two when the
+        # window straddles slot 0); the stored columns are exactly what
+        # assemble_window() would concatenate from the component rings
+        # (see _ingest_chunk), so the result is bitwise-unchanged.
+        return np.concatenate([self._features[:, span, :] for span in spans], axis=1)
 
     def assembled_window(self, lo_hour: int, hi_hour: int) -> np.ndarray:
         """Eq. 5 channels for ``[lo_hour, hi_hour)`` via assemble_window.
